@@ -78,24 +78,13 @@ impl Tape {
 
     /// Row-wise L2 normalisation `y = x / max(‖x‖, eps)`.
     pub fn l2_normalize_rows(&mut self, x: Var, eps: f32) -> Var {
-        let norms = self.value(x).row_l2_norm(eps);
-        let inv = norms.map(|n| 1.0 / n);
-        let value = self.value(x).mul_col_broadcast(&inv);
+        let (value, norms) = normalize_rows(self.value(x), eps);
         let out_slot = self.len();
         self.push_op(&[x], value, move |g, vals, ctx| {
-            let y = &vals[out_slot];
-            let (r, c) = y.shape();
-            let mut dx = Tensor::zeros(r, c);
-            for i in 0..r {
-                let yrow = y.row(i);
-                let grow = g.row(i);
-                let n = 1.0 / inv.get(i, 0);
-                let dot: f32 = yrow.iter().zip(grow).map(|(&a, &b)| a * b).sum();
-                for ((d, &yv), &gv) in dx.row_mut(i).iter_mut().zip(yrow).zip(grow) {
-                    *d = (gv - yv * dot) / n;
-                }
-            }
-            ctx.accum(x, dx);
+            ctx.accum(
+                x,
+                normalize_rows_backward(&vals[out_slot], &norms, g.clone()),
+            );
         })
     }
 
@@ -113,6 +102,31 @@ impl Tape {
             ctx.accum(x, dx);
         })
     }
+}
+
+/// `y = x / max(‖x‖, eps)` per row, plus the floored norms.
+pub(crate) fn normalize_rows(x: &Tensor, eps: f32) -> (Tensor, Tensor) {
+    let norms = x.row_l2_norm(eps);
+    let inv = norms.map(|v| 1.0 / v);
+    (x.mul_col_broadcast(&inv), norms)
+}
+
+/// Adjoint of [`normalize_rows`]: `dx = (dy − y·(y·dy)) / norm`, applied to
+/// `dy` in place.
+pub(crate) fn normalize_rows_backward(y: &Tensor, norms: &Tensor, mut dy: Tensor) -> Tensor {
+    let cols = y.cols();
+    for ((drow, yrow), &norm) in dy
+        .as_mut_slice()
+        .chunks_exact_mut(cols)
+        .zip(y.as_slice().chunks_exact(cols))
+        .zip(norms.as_slice())
+    {
+        let dot: f32 = yrow.iter().zip(drow.iter()).map(|(&a, &b)| a * b).sum();
+        for (dv, &yv) in drow.iter_mut().zip(yrow) {
+            *dv = (*dv - yv * dot) / norm;
+        }
+    }
+    dy
 }
 
 #[cfg(test)]

@@ -40,13 +40,27 @@ impl Tape {
         let xs: Vec<Var> = xs.to_vec();
         let inputs = xs.clone();
         self.push_op(&inputs, value, move |g, _vals, ctx| {
+            debug_assert_eq!(g.cols(), cols);
             let mut off = 0;
-            for (v, h) in xs.iter().zip(&heights) {
-                let idx: Vec<usize> = (off..off + h).collect();
-                ctx.accum(*v, g.gather_rows(&idx));
+            for (v, &h) in xs.iter().zip(&heights) {
+                let block = &g.as_slice()[off * cols..(off + h) * cols];
+                ctx.accum_row_block(*v, (h, cols), 0, block);
                 off += h;
             }
-            debug_assert_eq!(g.cols(), cols);
+        })
+    }
+
+    /// Copy of rows `[lo, hi)`.
+    pub fn slice_rows(&mut self, x: Var, lo: usize, hi: usize) -> Var {
+        let (r, c) = self.shape(x);
+        assert!(lo <= hi && hi <= r, "bad row slice {lo}..{hi} of {r}");
+        let value = Tensor::from_vec(
+            hi - lo,
+            c,
+            self.value(x).as_slice()[lo * c..hi * c].to_vec(),
+        );
+        self.push_op(&[x], value, move |g, _vals, ctx| {
+            ctx.accum_row_block(x, (r, c), lo, g.as_slice());
         })
     }
 
@@ -63,14 +77,13 @@ impl Tape {
         })
     }
 
-    /// Gather rows by index (indices may repeat; backward scatter-adds).
+    /// Gather rows by index (indices may repeat; backward scatter-adds
+    /// straight into `x`'s gradient slot).
     pub fn gather_rows(&mut self, x: Var, idx: Vec<usize>) -> Var {
-        let (r, c) = self.shape(x);
+        let shape = self.shape(x);
         let value = self.value(x).gather_rows(&idx);
         self.push_op(&[x], value, move |g, _vals, ctx| {
-            let mut dx = Tensor::zeros(r, c);
-            dx.scatter_add_rows(&idx, g);
-            ctx.accum(x, dx);
+            ctx.accum_rows(x, shape, &idx, g);
         })
     }
 
@@ -169,6 +182,20 @@ mod tests {
     }
 
     #[test]
+    fn grad_slice_rows() {
+        check(
+            &[input(5, 3)],
+            |t, vs| {
+                let a = t.slice_rows(vs[0], 1, 4);
+                let b = t.slice_rows(vs[0], 3, 5);
+                let (qa, qb) = (quad_head(t, a), quad_head(t, b));
+                t.add(qa, qb)
+            },
+            5e-2,
+        );
+    }
+
+    #[test]
     fn grad_slice_cols() {
         check(
             &[input(3, 5)],
@@ -187,6 +214,27 @@ mod tests {
             |t, vs| {
                 let y = t.gather_rows(vs[0], vec![0, 2, 2, 3]);
                 quad_head(t, y)
+            },
+            5e-2,
+        );
+    }
+
+    #[test]
+    fn grad_gather_rows_fan_in_one_var() {
+        // Backward runs in reverse: the tanh's dense gradient lands first,
+        // then both gathers (one with repeats) scatter into that slot in
+        // place, then the earlier dense consumer adds on top.
+        check(
+            &[input(4, 3)],
+            |t, vs| {
+                let s = t.scale(vs[0], 0.5);
+                let a = t.gather_rows(vs[0], vec![3, 1, 3, 3]);
+                let b = t.gather_rows(vs[0], vec![0, 1, 1]);
+                let th = t.tanh(vs[0]);
+                let q = [s, a, b, th].map(|y| quad_head(t, y));
+                let l = t.add(q[0], q[1]);
+                let l = t.add(l, q[2]);
+                t.add(l, q[3])
             },
             5e-2,
         );

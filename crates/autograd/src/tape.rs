@@ -86,6 +86,35 @@ impl BackwardCtx {
             slot @ None => *slot = Some(g),
         }
     }
+
+    /// The gradient slot of `v` (shape `rows×cols`), zero-filled on first
+    /// touch so sparse contributions can be added in place.
+    fn slot(&mut self, v: Var, rows: usize, cols: usize) -> &mut Tensor {
+        let slot = self.grads[v.0].get_or_insert_with(|| Tensor::zeros(rows, cols));
+        debug_assert_eq!(slot.shape(), (rows, cols), "gradient slot shape");
+        slot
+    }
+
+    /// Scatter-add row `r` of `g` into row `idx[r]` of `v`'s gradient
+    /// (`v` is `rows×cols`), in place: no dense temporary per call.
+    pub fn accum_rows(&mut self, v: Var, (rows, cols): (usize, usize), idx: &[usize], g: &Tensor) {
+        self.slot(v, rows, cols).scatter_add_rows(idx, g);
+    }
+
+    /// Add the whole rows in `src` (row-major, `cols` wide) into `v`'s
+    /// gradient starting at row `lo`, in place.
+    pub fn accum_row_block(
+        &mut self,
+        v: Var,
+        (rows, cols): (usize, usize),
+        lo: usize,
+        src: &[f32],
+    ) {
+        let dst = &mut self.slot(v, rows, cols).as_mut_slice()[lo * cols..lo * cols + src.len()];
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += s;
+        }
+    }
 }
 
 /// `Send` so a whole tape (and any graph wrapping it) can live on a

@@ -68,12 +68,12 @@ properties! {
         );
     }
 
-    fn info_nce_grad_random(b in 2usize..5, d in 2usize..6, seed in 0i32..30) {
-        let z1 = smooth_matrix(b, d, seed);
-        let z2 = smooth_matrix(b, d, seed + 7);
+    fn info_nce_grad_random(b in 2usize..5, d in 2usize..6, blocks in 1usize..4, seed in 0i32..30) {
+        let z1 = smooth_matrix(blocks * b, d, seed);
+        let z2 = smooth_matrix(blocks * b, d, seed + 7);
         gradcheck::check(
             &[z1, z2],
-            |t, vs| t.info_nce(vs[0], vs[1], 0.5),
+            move |t, vs| t.info_nce(vs[0], vs[1], blocks, 0.5),
             8e-2,
         );
     }

@@ -258,32 +258,32 @@ impl Extractor {
     }
 }
 
-/// Eq. 22–23: vertical convolution over the field axis of one interest map,
-/// producing `J−n+1` feature-enhanced maps. `scalars` are the `n` taps of
-/// `ĝ_{m,n}`.
+/// Eq. 22–23: one output of the vertical convolution over the field axis,
+/// `ReLU(Σ_i ĝ_{m,n,i} · fields[i])`, where `fields` are the `n` consecutive
+/// field views it covers and `scalars` the `n` taps of `ĝ_{m,n}`. A map with
+/// `J` fields has `J−n+1` such outputs. The convolution is position-wise,
+/// so `fields` may hold any subset of a map's rows (the same rows of each
+/// field).
 pub(crate) fn vertical_conv(
     g: &mut Graph,
     store: &ParamStore,
-    map: &InterestMap,
+    fields: &[Var],
     scalars: &[DenseId],
-) -> Vec<Var> {
-    let j = map.per_field.len();
-    let n = scalars.len();
-    assert!(n >= 1 && n <= j, "vertical kernel taller than field count");
-    (0..=(j - n))
-        .map(|j0| {
-            let mut acc: Option<Var> = None;
-            for (i, &wid) in scalars.iter().enumerate() {
-                let wv = g.param(store, wid);
-                let scaled = g.tape.mul_scalar_var(map.per_field[j0 + i], wv);
-                acc = Some(match acc {
-                    Some(a) => g.tape.add(a, scaled),
-                    None => scaled,
-                });
-            }
-            g.tape.relu(acc.expect("non-empty kernel"))
-        })
-        .collect()
+) -> Var {
+    assert!(
+        !scalars.is_empty() && scalars.len() == fields.len(),
+        "vertical kernel needs one field view per tap"
+    );
+    let mut acc: Option<Var> = None;
+    for (&field, &wid) in fields.iter().zip(scalars) {
+        let wv = g.param(store, wid);
+        let scaled = g.tape.mul_scalar_var(field, wv);
+        acc = Some(match acc {
+            Some(a) => g.tape.add(a, scaled),
+            None => scaled,
+        });
+    }
+    g.tape.relu(acc.expect("non-empty kernel"))
 }
 
 #[cfg(test)]
@@ -378,11 +378,19 @@ mod tests {
         let mut g = Graph::new(&store);
         let se = seq_embs(&mut g, &store, &emb, &batch);
         let maps = ex.extract(&mut g, &store, &se, &batch);
+        let fields = &maps.maps[0].per_field;
+        let j = fields.len();
         // J = 2: n = 1 → 2 outputs; n = 2 → 1 output (Ω = Σ (J−n+1) = 3).
-        let n1 = vertical_conv(&mut g, &store, &maps.maps[0], &[s1]);
-        assert_eq!(n1.len(), 2);
-        let n2 = vertical_conv(&mut g, &store, &maps.maps[0], &[s1, s2]);
-        assert_eq!(n2.len(), 1);
+        let mut omega = 0;
+        for taps in [&[s1][..], &[s1, s2][..]] {
+            let n = taps.len();
+            for j0 in 0..=(j - n) {
+                let out = vertical_conv(&mut g, &store, &fields[j0..j0 + n], taps);
+                assert_eq!(g.tape.shape(out), g.tape.shape(fields[j0]));
+                omega += 1;
+            }
+        }
+        assert_eq!(omega, 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The MISS module: extractors + augmentation + encoders + InfoNCE losses,
 //! assembled per Eq. 9–17.
 
-use crate::augment::PairSelector;
+use crate::augment::{PairDraw, PairSelector};
 use crate::config::{EncoderKind, MissConfig};
 use crate::extractor::{vertical_conv, Extractor, InterestMaps};
 use crate::ssl_baselines::SslMethod;
@@ -89,17 +89,6 @@ impl Miss {
             .collect()
     }
 
-    /// Gather one interest view across all fields and flatten to `B×(J·K)`
-    /// (the `Flat` of Eq. 20).
-    fn gather_view(&self, g: &mut Graph, maps: &InterestMaps, map: usize, idx: &[usize]) -> Var {
-        let parts: Vec<Var> = maps.maps[map]
-            .per_field
-            .iter()
-            .map(|&f| g.tape.gather_rows(f, idx.to_vec()))
-            .collect();
-        g.tape.concat_cols(&parts)
-    }
-
     /// `Enc^i` (Eq. 13): optionally a Transformer block over the J field
     /// tokens of the view, then the MLP head.
     fn encode_i(&self, g: &mut Graph, store: &ParamStore, view: Var) -> Var {
@@ -118,8 +107,22 @@ impl Miss {
         }
     }
 
+    /// InfoNCE between the halves of an encoded stack `[views 1; views 2]`
+    /// holding `blocks` view pairs: each pair keeps its own in-batch
+    /// negatives, and the result is the mean of the per-pair losses.
+    fn paired_info_nce(&self, g: &mut Graph, z: Var, blocks: usize) -> Var {
+        let rows = g.tape.shape(z).0;
+        let z1 = g.tape.slice_rows(z, 0, rows / 2);
+        let z2 = g.tape.slice_rows(z, rows / 2, rows);
+        g.tape.info_nce(z1, z2, blocks, self.cfg.tau)
+    }
+
     /// The two SSL losses of Eq. 15 and Eq. 16 (unweighted):
     /// `(L_ssl, L_ssl')`. Either may be absent depending on the variant.
+    ///
+    /// All P (and Q) pairs are drawn first, in the order drawing them pair
+    /// by pair would consume the RNG; their views are then encoded in one
+    /// pass and scored by one block InfoNCE per loss.
     pub fn ssl_losses(
         &self,
         g: &mut Graph,
@@ -136,69 +139,93 @@ impl Miss {
 
         if !self.cfg.interest_level {
             // The /M ablation: sample-level augmentation (Eq. 8) — two
-            // dropout views of the whole-sequence representation.
+            // dropout views of the whole-sequence representation. The mask
+            // is drawn row-major, so one dropout over the stacked copies
+            // draws view 1's mask, then view 2's.
             let pooled: Vec<Var> = seq
                 .iter()
                 .map(|&s| miss_models::mean_pool(g, s, batch))
                 .collect();
             let rep = g.tape.concat_cols(&pooled); // B×(J·K)
-            let v1 = dropout(g, rep, 0.2, true, rng);
-            let v2 = dropout(g, rep, 0.2, true, rng);
-            let z1 = self.encode_i(g, store, v1);
-            let z2 = self.encode_i(g, store, v2);
-            let loss = g.tape.info_nce(z1, z2, self.cfg.tau);
-            return (Some(loss), None);
+            let copies = g.tape.tile_rows(rep, 2);
+            let views = dropout(g, copies, 0.2, true, rng);
+            let z = self.encode_i(g, store, views);
+            return (Some(self.paired_info_nce(g, z, 1)), None);
         }
 
         let maps = self.extractor.extract(g, store, &seq, batch);
         if maps.maps.is_empty() {
             return (None, None);
         }
+        let stack = stack_maps(g, &maps);
 
         // Interest-level loss (Eq. 15), averaged over P draws.
-        let mut li: Option<Var> = None;
-        for _ in 0..self.cfg.p {
-            let draw = self.selector.draw_interest(&maps, batch, rng);
-            let h1 = self.gather_view(g, &maps, draw.map, &draw.idx1);
-            let h2 = self.gather_view(g, &maps, draw.map, &draw.idx2);
-            let z1 = self.encode_i(g, store, h1);
-            let z2 = self.encode_i(g, store, h2);
-            let l = g.tape.info_nce(z1, z2, self.cfg.tau);
-            li = Some(match li {
-                Some(acc) => g.tape.add(acc, l),
-                None => l,
-            });
-        }
-        let li = li.map(|l| g.tape.scale(l, 1.0 / self.cfg.p as f32));
+        let draws: Vec<PairDraw> = (0..self.cfg.p)
+            .map(|_| self.selector.draw_interest(&maps, batch, rng))
+            .collect();
+        let li = (!draws.is_empty()).then(|| {
+            let views = stack.gather_views(g, &draws);
+            let z = self.encode_i(g, store, views);
+            self.paired_info_nce(g, z, draws.len())
+        });
 
         // Feature-level loss (Eq. 16), averaged over Q draws.
-        let mut lif: Option<Var> = None;
-        if self.cfg.n > 0 && self.cfg.alpha2 > 0.0 {
-            for _ in 0..self.cfg.q {
-                let mi = rng.below(maps.maps.len());
-                let per_n = &self.v_kernels[mi.min(self.v_kernels.len() - 1)];
-                if per_n.is_empty() {
-                    continue;
-                }
-                let ni = rng.below(per_n.len());
-                let outputs = vertical_conv(g, store, &maps.maps[mi], &per_n[ni]);
-                let (j1, j2, idx) =
-                    self.selector
-                        .draw_feature(&maps.maps[mi], outputs.len(), batch, rng);
-                let v1 = g.tape.gather_rows(outputs[j1], idx.clone());
-                let v2 = g.tape.gather_rows(outputs[j2], idx);
-                let z1 = self.enc_if.forward(g, store, v1);
-                let z2 = self.enc_if.forward(g, store, v2);
-                let l = g.tape.info_nce(z1, z2, self.cfg.tau);
-                lif = Some(match lif {
-                    Some(acc) => g.tape.add(acc, l),
-                    None => l,
-                });
-            }
-            lif = lif.map(|l| g.tape.scale(l, 1.0 / self.cfg.q as f32));
-        }
+        let lif = if self.cfg.n > 0 && self.cfg.alpha2 > 0.0 {
+            self.feature_loss(g, store, &maps, &stack, batch, rng)
+        } else {
+            None
+        };
 
         (li, lif)
+    }
+
+    /// Eq. 16 over Q feature-level draws. The vertical convolution is
+    /// position-wise, so each draw convolves only its B gathered rows; the
+    /// 2Q views then go through `Enc^if` as one stack.
+    fn feature_loss(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        maps: &InterestMaps,
+        stack: &StackedMaps,
+        batch: &Batch,
+        rng: &mut Rng,
+    ) -> Option<Var> {
+        let j = stack.per_field.len();
+        let mut views1 = Vec::with_capacity(self.cfg.q);
+        let mut views2 = Vec::with_capacity(self.cfg.q);
+        for _ in 0..self.cfg.q {
+            let mi = rng.below(maps.maps.len());
+            let per_n = &self.v_kernels[mi.min(self.v_kernels.len() - 1)];
+            if per_n.is_empty() {
+                continue;
+            }
+            let taps = &per_n[rng.below(per_n.len())];
+            let (j1, j2, idx) =
+                self.selector
+                    .draw_feature(&maps.maps[mi], j - taps.len() + 1, batch, rng);
+            let off = stack.offsets[mi];
+            let rows: Vec<usize> = idx.iter().map(|&r| off + r).collect();
+            let view = |g: &mut Graph, j0: usize| {
+                let fields: Vec<Var> = stack.per_field[j0..j0 + taps.len()]
+                    .iter()
+                    .map(|&f| g.tape.gather_rows(f, rows.clone()))
+                    .collect();
+                vertical_conv(g, store, &fields, taps)
+            };
+            let v1 = view(g, j1);
+            let v2 = if j2 == j1 { v1 } else { view(g, j2) };
+            views1.push(v1);
+            views2.push(v2);
+        }
+        if views1.is_empty() {
+            return None;
+        }
+        let blocks = views1.len();
+        views1.append(&mut views2);
+        let views = g.tape.concat_rows(&views1);
+        let z = self.enc_if.forward(g, store, views);
+        Some(self.paired_info_nce(g, z, blocks))
     }
 
     /// Figure 5's probe: the mean cosine similarity between the raw view
@@ -216,24 +243,24 @@ impl Miss {
         if maps.maps.is_empty() {
             return 1.0;
         }
+        let stack = stack_maps(g, &maps);
+        let draws: Vec<PairDraw> = (0..self.cfg.p.max(1))
+            .map(|_| self.selector.draw_interest(&maps, batch, rng))
+            .collect();
+        let views = stack.gather_views(g, &draws);
+        let v = g.tape.value(views);
+        let half = v.rows() / 2;
         let mut total = 0.0f64;
         let mut count = 0usize;
-        for _ in 0..self.cfg.p.max(1) {
-            let draw = self.selector.draw_interest(&maps, batch, rng);
-            let v1 = self.gather_view(g, &maps, draw.map, &draw.idx1);
-            let v2 = self.gather_view(g, &maps, draw.map, &draw.idx2);
-            let a = g.tape.value(v1);
-            let b = g.tape.value(v2);
-            for s in 0..batch.size {
-                let ra = a.row(s);
-                let rb = b.row(s);
-                let dot: f32 = ra.iter().zip(rb).map(|(&x, &y)| x * y).sum();
-                let na: f32 = ra.iter().map(|&x| x * x).sum::<f32>().sqrt();
-                let nb: f32 = rb.iter().map(|&x| x * x).sum::<f32>().sqrt();
-                if na > 1e-6 && nb > 1e-6 {
-                    total += (dot / (na * nb)) as f64;
-                    count += 1;
-                }
+        for r in 0..half {
+            let ra = v.row(r);
+            let rb = v.row(half + r);
+            let dot: f32 = ra.iter().zip(rb).map(|(&x, &y)| x * y).sum();
+            let na: f32 = ra.iter().map(|&x| x * x).sum::<f32>().sqrt();
+            let nb: f32 = rb.iter().map(|&x| x * x).sum::<f32>().sqrt();
+            if na > 1e-6 && nb > 1e-6 {
+                total += (dot / (na * nb)) as f64;
+                count += 1;
             }
         }
         if count == 0 {
@@ -242,6 +269,64 @@ impl Miss {
             total / count as f64
         }
     }
+}
+
+/// Every kernel branch's map of one field stacked row-wise, so a view of
+/// any branch is a row of one matrix per field.
+struct StackedMaps {
+    /// One `(Σ_m B·W_m)×K` matrix per sequential field.
+    per_field: Vec<Var>,
+    /// First row of each branch's block.
+    offsets: Vec<usize>,
+}
+
+impl StackedMaps {
+    /// Both views of every draw, flattened to `(2·draws·B)×(J·K)` (the
+    /// `Flat` of Eq. 20): view 1 of each draw in draw order, then view 2
+    /// of each draw, gathered with one `gather_rows` per field.
+    fn gather_views(&self, g: &mut Graph, draws: &[PairDraw]) -> Var {
+        let rows: usize = draws.iter().map(|d| d.idx1.len() + d.idx2.len()).sum();
+        let mut idx = Vec::with_capacity(rows);
+        for second in [false, true] {
+            for d in draws {
+                let off = self.offsets[d.map];
+                let view = if second { &d.idx2 } else { &d.idx1 };
+                idx.extend(view.iter().map(|&r| off + r));
+            }
+        }
+        let parts: Vec<Var> = self
+            .per_field
+            .iter()
+            .map(|&f| g.tape.gather_rows(f, idx.clone()))
+            .collect();
+        g.tape.concat_cols(&parts)
+    }
+}
+
+/// Stack `maps` row-wise per field (one `concat_rows` each, none for a
+/// single branch).
+fn stack_maps(g: &mut Graph, maps: &InterestMaps) -> StackedMaps {
+    let mut offsets = Vec::with_capacity(maps.maps.len());
+    let mut rows = 0;
+    for map in &maps.maps {
+        offsets.push(rows);
+        rows += maps.batch * map.width;
+    }
+    let fields = maps.maps.first().map_or(0, |m| m.per_field.len());
+    let per_field = (0..fields)
+        .map(|f| {
+            let parts: Vec<Var> = maps
+                .maps
+                .iter()
+                .filter_map(|m| m.per_field.get(f).copied())
+                .collect();
+            match parts.as_slice() {
+                [one] => *one,
+                _ => g.tape.concat_rows(&parts),
+            }
+        })
+        .collect();
+    StackedMaps { per_field, offsets }
 }
 
 impl SslMethod for Miss {
@@ -291,6 +376,226 @@ mod tests {
         let emb = EmbeddingLayer::new(&mut store, &dataset.schema, 10, "emb", &mut rng);
         let miss = Miss::new(&mut store, &emb, cfg, &mut rng);
         (batch, store, emb, miss, rng)
+    }
+
+    /// The composed InfoNCE chain the fused op replaced (one pair).
+    fn composed_info_nce(g: &mut Graph, z1: Var, z2: Var, tau: f32) -> Var {
+        let n1 = g.tape.l2_normalize_rows(z1, 1e-8);
+        let n2 = g.tape.l2_normalize_rows(z2, 1e-8);
+        let sims = g.tape.matmul_nt(n1, n2);
+        let scaled = g.tape.scale(sims, 1.0 / tau);
+        let pos = g.tape.diag(scaled);
+        let lse = g.tape.logsumexp_rows(scaled);
+        let diff = g.tape.sub(lse, pos);
+        g.tape.mean_all(diff)
+    }
+
+    fn accumulate(g: &mut Graph, acc: Option<Var>, l: Var) -> Option<Var> {
+        Some(match acc {
+            Some(a) => g.tape.add(a, l),
+            None => l,
+        })
+    }
+
+    /// The per-draw `ssl_losses` the batched one replaced, kept as the
+    /// reference: every pair is gathered, convolved over its whole map,
+    /// encoded and scored on its own, then the losses are averaged.
+    fn reference_ssl_losses(
+        miss: &Miss,
+        g: &mut Graph,
+        store: &ParamStore,
+        emb: &EmbeddingLayer,
+        batch: &Batch,
+        rng: &mut Rng,
+    ) -> (Option<Var>, Option<Var>) {
+        let cfg = &miss.cfg;
+        if batch.size < 2 {
+            return (None, None);
+        }
+        let seq = miss.seq_embs(g, store, emb, batch);
+        if !cfg.interest_level {
+            let pooled: Vec<Var> = seq
+                .iter()
+                .map(|&s| miss_models::mean_pool(g, s, batch))
+                .collect();
+            let rep = g.tape.concat_cols(&pooled);
+            let v1 = dropout(g, rep, 0.2, true, rng);
+            let v2 = dropout(g, rep, 0.2, true, rng);
+            let z1 = miss.encode_i(g, store, v1);
+            let z2 = miss.encode_i(g, store, v2);
+            return (Some(composed_info_nce(g, z1, z2, cfg.tau)), None);
+        }
+        let maps = miss.extractor.extract(g, store, &seq, batch);
+        if maps.maps.is_empty() {
+            return (None, None);
+        }
+        let view = |g: &mut Graph, map: usize, idx: &[usize]| {
+            let parts: Vec<Var> = maps.maps[map]
+                .per_field
+                .iter()
+                .map(|&f| g.tape.gather_rows(f, idx.to_vec()))
+                .collect();
+            g.tape.concat_cols(&parts)
+        };
+        let mut li = None;
+        for _ in 0..cfg.p {
+            let draw = miss.selector.draw_interest(&maps, batch, rng);
+            let h1 = view(g, draw.map, &draw.idx1);
+            let h2 = view(g, draw.map, &draw.idx2);
+            let z1 = miss.encode_i(g, store, h1);
+            let z2 = miss.encode_i(g, store, h2);
+            let l = composed_info_nce(g, z1, z2, cfg.tau);
+            li = accumulate(g, li, l);
+        }
+        let li = li.map(|l| g.tape.scale(l, 1.0 / cfg.p as f32));
+        let mut lif = None;
+        if cfg.n > 0 && cfg.alpha2 > 0.0 {
+            for _ in 0..cfg.q {
+                let mi = rng.below(maps.maps.len());
+                let per_n = &miss.v_kernels[mi.min(miss.v_kernels.len() - 1)];
+                if per_n.is_empty() {
+                    continue;
+                }
+                let taps = &per_n[rng.below(per_n.len())];
+                let map = &maps.maps[mi];
+                let n = taps.len();
+                let outputs: Vec<Var> = (0..=map.per_field.len() - n)
+                    .map(|j0| vertical_conv(g, store, &map.per_field[j0..j0 + n], taps))
+                    .collect();
+                let (j1, j2, idx) = miss.selector.draw_feature(map, outputs.len(), batch, rng);
+                let v1 = g.tape.gather_rows(outputs[j1], idx.clone());
+                let v2 = g.tape.gather_rows(outputs[j2], idx);
+                let z1 = miss.enc_if.forward(g, store, v1);
+                let z2 = miss.enc_if.forward(g, store, v2);
+                let l = composed_info_nce(g, z1, z2, cfg.tau);
+                lif = accumulate(g, lif, l);
+            }
+            lif = lif.map(|l| g.tape.scale(l, 1.0 / cfg.q as f32));
+        }
+        (li, lif)
+    }
+
+    /// Every element of `got` within `tol · scale` of `want`.
+    fn assert_close(what: &str, got: &[f32], want: &[f32], tol: f32, scale: f32) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (e, (&a, &b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (a - b).abs() <= tol * scale,
+                "{what}[{e}]: batched {a} vs per-draw {b} (scale {scale})"
+            );
+        }
+    }
+
+    fn max_abs(t: &miss_tensor::Tensor) -> f32 {
+        t.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()))
+    }
+
+    #[test]
+    fn batched_ssl_losses_match_per_draw_reference() {
+        let transformer = MissConfig {
+            encoder: crate::EncoderKind::Transformer,
+            ..MissConfig::default()
+        };
+        let gaussian = MissConfig {
+            distance_law: crate::DistanceLaw::Gaussian { sigma: 1.5 },
+            ..MissConfig::default()
+        };
+        let cases = [
+            ("Full", MissConfig::default()),
+            ("MISS/F", MissConfig::variant(MissVariant::NoF)),
+            ("MISS/M/F/U/L", MissConfig::variant(MissVariant::NoMFUL)),
+            (
+                "SA",
+                MissConfig::with_extractor(ExtractorKind::SelfAttention),
+            ),
+            ("LSTM", MissConfig::with_extractor(ExtractorKind::Lstm)),
+            ("Transformer", transformer),
+            ("Gaussian", gaussian),
+        ];
+        for (name, cfg) in cases {
+            let (batch, store, emb, miss, rng) = setup(cfg);
+            let mut rng_ref = rng.clone();
+            let mut rng_new = rng;
+            let mut g_ref = Graph::new(&store);
+            let reference =
+                reference_ssl_losses(&miss, &mut g_ref, &store, &emb, &batch, &mut rng_ref);
+            let mut g_new = Graph::new(&store);
+            let batched = miss.ssl_losses(&mut g_new, &store, &emb, &batch, &mut rng_new);
+            assert_eq!(
+                rng_new.state_parts(),
+                rng_ref.state_parts(),
+                "{name}: the batched draws consumed the RNG differently"
+            );
+            assert!(
+                g_new.tape.len() < g_ref.tape.len(),
+                "{name}: no fewer tape nodes"
+            );
+
+            let mut totals = [(g_ref, reference), (g_new, batched)].map(|(mut g, (li, lif))| {
+                let value = |v: Option<Var>| v.map(|v| g.tape.value(v).item());
+                let values = (value(li), value(lif));
+                let total = match (li, lif) {
+                    (Some(a), Some(b)) => g.tape.add(a, b),
+                    (Some(a), None) | (None, Some(a)) => a,
+                    (None, None) => panic!("{name}: no SSL loss"),
+                };
+                let grads = g.tape.backward(total);
+                (g, (values, grads))
+            });
+            let (ref_li, ref_lif) = totals[0].1 .0;
+            let (new_li, new_lif) = totals[1].1 .0;
+            for (term, got, want) in [("L_ssl", new_li, ref_li), ("L_ssl'", new_lif, ref_lif)] {
+                assert_eq!(got.is_some(), want.is_some(), "{name}: {term} presence");
+                if let (Some(a), Some(b)) = (got, want) {
+                    assert!(
+                        (a - b).abs() <= 1e-5 * b.abs().max(1.0),
+                        "{name}: {term} {a} vs {b}"
+                    );
+                }
+            }
+
+            // The gradients reaching every parameter agree too, to 1e-5 of
+            // the largest gradient entry (a parameter whose gradient nearly
+            // cancels has no meaningful relative error of its own).
+            let bound = |g: &Graph, id: DenseId| {
+                g.dense_bindings()
+                    .iter()
+                    .find(|&&(i, _)| i == id)
+                    .map(|&(_, v)| v)
+            };
+            let [(g_ref, (_, ref_grads)), (g_new, (_, new_grads))] = &mut totals;
+            let mut pairs = Vec::new();
+            for (id, pname) in store.dense_ids().into_iter().zip(store.dense_names()) {
+                let (rv, nv) = (bound(g_ref, id), bound(g_new, id));
+                assert_eq!(rv.is_some(), nv.is_some(), "{name}: {pname} bound");
+                let (Some(rv), Some(nv)) = (rv, nv) else {
+                    continue;
+                };
+                match (new_grads.get(nv), ref_grads.get(rv)) {
+                    (Some(a), Some(b)) => pairs.push((pname.to_string(), a, b)),
+                    (a, b) => assert_eq!(a.is_some(), b.is_some(), "{name}: {pname} reached"),
+                }
+            }
+            assert_eq!(
+                new_grads.sparse.len(),
+                ref_grads.sparse.len(),
+                "{name}: sparse"
+            );
+            for (a, b) in new_grads.sparse.iter().zip(&ref_grads.sparse) {
+                assert_eq!((a.table_id, &a.indices), (b.table_id, &b.indices));
+                pairs.push((format!("table {}", a.table_id), &a.grad_rows, &b.grad_rows));
+            }
+            let scale = pairs.iter().fold(0.0f32, |m, (_, _, b)| m.max(max_abs(b)));
+            for (what, a, b) in pairs {
+                assert_close(
+                    &format!("{name}: {what}"),
+                    a.as_slice(),
+                    b.as_slice(),
+                    1e-5,
+                    scale,
+                );
+            }
+        }
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl SslMethod for RuleSsl {
         let v2 = dropout(g, seg, 0.2, true, rng);
         let z1 = self.enc.forward(g, store, v1);
         let z2 = self.enc.forward(g, store, v2);
-        let loss = g.tape.info_nce(z1, z2, self.tau);
+        let loss = g.tape.info_nce(z1, z2, 1, self.tau);
         Some(g.tape.scale(loss, self.alpha))
     }
 }
@@ -179,7 +179,7 @@ impl SslMethod for Irssl {
         let cat = emb.embed_cat_field(g, store, batch, 2); // cand category
         let z1 = self.enc_a.forward(g, store, item);
         let z2 = self.enc_b.forward(g, store, cat);
-        let loss = g.tape.info_nce(z1, z2, self.tau);
+        let loss = g.tape.info_nce(z1, z2, 1, self.tau);
         Some(g.tape.scale(loss, self.alpha))
     }
 }
@@ -250,7 +250,7 @@ impl SslMethod for S3Rec {
         });
         let z1 = self.enc.forward(g, store, seg);
         let z2 = self.enc.forward(g, store, rest);
-        let loss = g.tape.info_nce(z1, z2, self.tau);
+        let loss = g.tape.info_nce(z1, z2, 1, self.tau);
         Some(g.tape.scale(loss, self.alpha))
     }
 }
@@ -381,7 +381,7 @@ impl SslMethod for Cl4SRec {
         let v2 = self.view(g, store, emb, batch, rng);
         let z1 = self.enc.forward(g, store, v1);
         let z2 = self.enc.forward(g, store, v2);
-        let loss = g.tape.info_nce(z1, z2, self.tau);
+        let loss = g.tape.info_nce(z1, z2, 1, self.tau);
         Some(g.tape.scale(loss, self.alpha))
     }
 }

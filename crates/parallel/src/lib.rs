@@ -24,12 +24,14 @@
 //! 2. a [`with_threads`] override on the calling thread (used by tests),
 //! 3. the `MISS_THREADS` environment variable,
 //! 4. `std::thread::available_parallelism()`.
+//!
+//! Steps 3–4 are resolved once per process and cached.
 
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Fail-point site consulted (on the dispatching thread only) by
 /// [`try_par_for_each_mut`]: `parallel.worker.panic@N` panics inside the
@@ -60,12 +62,24 @@ pub fn max_threads() -> usize {
     if let Some(n) = OVERRIDE.with(|c| c.get()) {
         return n.max(1);
     }
-    if let Ok(s) = std::env::var("MISS_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            return n.max(1);
+    process_threads()
+}
+
+/// `MISS_THREADS`, else the hardware's parallelism, resolved once per
+/// process: `available_parallelism` reads cgroup files, which costs more
+/// than a small dispatch itself.
+fn process_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        if let Ok(s) = std::env::var("MISS_THREADS") {
+            if let Ok(n) = s.trim().parse::<usize>() {
+                return n.max(1);
+            }
         }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Run `f` with the thread count pinned to `n` on this thread (callees on
@@ -328,6 +342,24 @@ mod tests {
                 assert_eq!(s.1, format!("slot{i}"));
             }
         }
+    }
+
+    #[test]
+    fn with_threads_overrides_the_cached_process_value() {
+        let cached = process_threads();
+        assert_eq!(max_threads(), cached);
+        assert_eq!(with_threads(cached + 3, max_threads), cached + 3);
+        assert_eq!(with_threads(0, max_threads), 1, "override clamps to 1");
+        with_threads(2, || {
+            assert_eq!(max_threads(), 2);
+            assert_eq!(with_threads(5, max_threads), 5);
+            assert_eq!(max_threads(), 2, "inner override restored");
+        });
+        assert_eq!(
+            max_threads(),
+            cached,
+            "cached value back after the override"
+        );
     }
 
     #[test]

@@ -104,8 +104,16 @@ mod tests {
     // `enabled()` is cached per process, so these tests exercise the
     // recording machinery directly rather than racing over the env var.
 
+    /// Serialises the tests that touch the global registry: one test's
+    /// `reset()` must not land between another's scopes.
+    fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn disabled_scope_records_nothing() {
+        let _registry = registry_lock();
         // MISS_PROFILE is unset under `cargo test`, so scopes stay inert.
         reset();
         {
@@ -119,6 +127,7 @@ mod tests {
 
     #[test]
     fn manual_scope_aggregates_and_serialises() {
+        let _registry = registry_lock();
         reset();
         {
             let _s = Scope {
@@ -138,13 +147,14 @@ mod tests {
             .find(|(name, _)| *name == "unit-phase")
             .expect("phase recorded");
         assert_eq!(stat.calls, 2);
-        let dir = std::env::temp_dir().join("miss-profile-test");
+        let dir = std::env::temp_dir().join(format!("miss-profile-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("profile.json");
         write_json(&path).expect("write profile json");
         let body = std::fs::read_to_string(&path).expect("read back");
         assert!(body.contains("\"name\": \"unit-phase\""), "{body}");
         assert!(body.contains("\"calls\": 2"), "{body}");
+        std::fs::remove_dir_all(&dir).expect("remove tmp dir");
         reset();
     }
 }

@@ -109,6 +109,13 @@ MISS_THREADS=1 cargo test -q -p miss-serve --test equivalence
 echo "==> serving gate: frozen-vs-graph equivalence (default MISS_THREADS)"
 cargo test -q -p miss-serve --test equivalence
 
+# The end-to-end benchmark (perfbench/, a package with its own workspace)
+# is outside tier-1. Its smoke and unit tests build it against the library
+# crates and run every workload on the tiny preset, so a library change
+# that breaks the benchmark fails here instead of at benchmark time.
+echo "==> perfbench: smoke and unit tests"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> benches: cargo bench"
 cargo bench -q
 
@@ -158,4 +165,4 @@ python3 scripts/check_bench.py BENCH_serving.json bench_baseline.json 0.25 \
     --require request_latency_mb64 \
     --require-ratio queue_batch_mb64 queue_solo_mb1 0.5
 
-echo "==> OK: build, tests (both thread modes), determinism suite, benches, serving equivalence and bench gates green offline"
+echo "==> OK: build, tests (both thread modes), determinism suite, perfbench tests, benches, serving equivalence and bench gates green offline"

@@ -128,7 +128,7 @@ properties! {
         let mut tape = Tape::new();
         let z1 = tape.constant(Tensor::from_vec(r, c, v.clone()));
         let z2 = tape.constant(Tensor::from_vec(r, c, v.iter().map(|x| x + 0.1).collect()));
-        let loss = tape.info_nce(z1, z2, 0.5);
+        let loss = tape.info_nce(z1, z2, 1, 0.5);
         let val = tape.value(loss).item();
         prop_assert!(val.is_finite());
         // InfoNCE over B in-batch candidates is bounded by ln(B) only in
