@@ -1,15 +1,15 @@
 //! miss-audit — an in-tree static-analysis gate for the workspace's
 //! determinism, unsafety and serving-robustness invariants.
 //!
-//! PRs 2–3 made the whole stack rest on invariants no compiler pass checks:
-//! bitwise determinism across `MISS_THREADS` forbids iterating hash
-//! containers, reading wall-clock time, or spawning threads outside
-//! `miss-parallel`; the AVX2 GEMM kernels rest on `unsafe` preconditions
-//! that must stay documented. PR 9 added a long-running serving engine that
-//! must never panic on a bad request and must not allocate in its hot
-//! loops. The dynamic test suite only catches violations that happen to
-//! fire under today's schedules — this crate catches the whole *class* at
-//! review time, offline, with zero external dependencies.
+//! The whole stack rests on invariants no compiler pass checks: bitwise
+//! determinism across `MISS_THREADS` forbids iterating hash containers,
+//! reading wall-clock time, or spawning threads outside `miss-parallel`;
+//! the GEMM kernels dispatch between a safe portable body and an avx2+fma
+//! body whose `unsafe` preconditions must stay documented; the long-running
+//! serving engine must never panic on a bad request and must not allocate
+//! in its hot loops. The dynamic test suite only catches violations that
+//! happen to fire under today's schedules — this crate catches the whole
+//! *class* at review time, offline, with zero external dependencies.
 //!
 //! The analyzer is three layers (DESIGN.md §7):
 //!

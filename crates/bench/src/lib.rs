@@ -17,35 +17,51 @@ pub struct ExpOpts {
     pub smoke: bool,
 }
 
+/// Printed with every argument error.
+const USAGE: &str = "usage: <table|figure binary> [--scale X] [--reps N] [--smoke]";
+
 impl ExpOpts {
-    /// Parse `--scale X --reps N --smoke` from `std::env::args`.
+    /// Parse `--scale X --reps N --smoke` from `std::env::args`. On a bad
+    /// argument, print the message and the usage line and exit with code 2
+    /// (the usage-error code beside `MissError::exit_code`'s codes).
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        ExpOpts::parse(&args).unwrap_or_else(|msg| {
+            eprintln!("{msg}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse the arguments that follow the program name.
+    pub fn parse(args: &[String]) -> Result<ExpOpts, String> {
         let mut opts = ExpOpts {
             scale: 1.0,
             reps: 3,
             smoke: false,
         };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
                 "--scale" => {
-                    opts.scale = args[i + 1].parse().expect("bad --scale");
-                    i += 2;
+                    opts.scale = flag_value(&mut it, "--scale")?;
+                    if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                        return Err(format!("--scale must be positive, got {}", opts.scale));
+                    }
                 }
                 "--reps" => {
-                    opts.reps = args[i + 1].parse().expect("bad --reps");
-                    i += 2;
+                    opts.reps = flag_value(&mut it, "--reps")?;
+                    if opts.reps == 0 {
+                        return Err("--reps must be at least 1".to_string());
+                    }
                 }
                 "--smoke" => {
                     opts.smoke = true;
                     opts.reps = 1;
-                    i += 1;
                 }
-                other => panic!("unknown argument {other}"),
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The three dataset configurations at this scale (smoke → tiny).
@@ -68,6 +84,16 @@ impl ExpOpts {
             e.train_cfg.patience = 0;
         }
     }
+}
+
+/// The value after `flag`, parsed.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String> {
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
 }
 
 /// Generate the dataset for a world with the canonical seed.
@@ -142,4 +168,47 @@ pub fn print_table(title: &str, dataset_names: &[String], cells: &[Vec<CellResul
 /// Format a relative-improvement column (Tables X/XI).
 pub fn ri(base: f64, new: f64) -> String {
     format!("{:+.2}%", relative_improvement(base, new))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ExpOpts, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        ExpOpts::parse(&args)
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let o = parse(&[]).unwrap();
+        assert_eq!((o.scale, o.reps, o.smoke), (1.0, 3, false));
+        let o = parse(&["--scale", "0.5", "--reps", "5"]).unwrap();
+        assert_eq!((o.scale, o.reps, o.smoke), (0.5, 5, false));
+        let o = parse(&["--reps", "5", "--smoke"]).unwrap();
+        assert_eq!((o.reps, o.smoke), (1, true), "--smoke implies one rep");
+    }
+
+    #[test]
+    fn trailing_flag_is_an_error() {
+        for flag in ["--scale", "--reps"] {
+            let err = parse(&["--smoke", flag]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("needs a value"), "{err}");
+        }
+    }
+
+    #[test]
+    fn bad_numbers_are_errors() {
+        assert!(parse(&["--scale", "big"]).unwrap_err().contains("--scale"));
+        assert!(parse(&["--reps", "-1"]).unwrap_err().contains("--reps"));
+        assert!(parse(&["--reps", "0"]).is_err());
+        assert!(parse(&["--scale", "0"]).is_err());
+        assert!(parse(&["--scale", "NaN"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        let err = parse(&["--smoke", "--seeds", "3"]).unwrap_err();
+        assert!(err.contains("unknown argument --seeds"), "{err}");
+    }
 }

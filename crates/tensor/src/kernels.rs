@@ -1,40 +1,41 @@
-//! Register-blocked GEMM micro-kernels.
+//! Register-blocked GEMM micro-kernels over packed B panels.
 //!
-//! Three variants cover every matmul/bmm path in the workspace:
-//! [`gemm_nn`] (`A @ B`), [`gemm_nt`] (`A @ Bᵀ`) and [`gemm_tn`]
-//! (`Aᵀ @ B`). Each keeps an `MR×NRW` accumulator tile in registers,
-//! streams the shared operand once per tile instead of once per output
-//! element, and unrolls the `k` loop by two. The tile bodies are generic
-//! over the tile shape and compiled twice: once for the baseline x86-64
-//! target (SSE2) and once under `#[target_feature(enable = "avx2")]` with
-//! wider column tiles, selected at runtime with `is_x86_feature_detected!`.
+//! Every matmul/bmm path in the workspace goes through two dispatchers:
+//! [`gemm_rowmajor`] (row-major A) and [`gemm_colmajor`] (transposed A, any
+//! window of output rows). The shared operand B is packed once per GEMM
+//! call into contiguous tile-aligned panels ([`pack_b_from_nn`] /
+//! [`pack_b_from_nt`]), and an optional [`GemmEpilogue`] (bias /
+//! bias+ReLU / bias+sigmoid) is applied to each finished accumulator in the
+//! store tail instead of as separate full-matrix passes.
 //!
-//! A third instantiation — the packed FMA path below — runs under
-//! `#[target_feature(enable = "avx2,fma")]` when the CPU has both features:
-//! the shared operand is packed once per GEMM call into contiguous
-//! tile-aligned panels ([`pack_b_from_nn`]/[`pack_b_from_nt`]), the tile
-//! bodies accumulate with fused multiply-adds (`f32::mul_add`), and an
-//! optional [`GemmEpilogue`] (bias / bias+ReLU / bias+sigmoid) is applied in
-//! the accumulator-store tail instead of as separate full-matrix passes.
+//! Two tile bodies read those panels; [`has_fma`] (cached cpuid) picks one
+//! per call:
+//!
+//! * **avx2+fma** — x86_64 with both features: six rows of 8-wide YMM
+//!   accumulators under `#[target_feature(enable = "avx2,fma")]`, one fused
+//!   multiply-add per step.
+//! * **portable** — every other CPU, and the reference the unit tests pin:
+//!   safe Rust ([`gemm_portable`]), generic over the panel width, A's
+//!   storage and the epilogue, with vectorisation left to the compiler.
 //!
 //! ## Determinism contract
 //!
 //! Determinism is **per-(shape, detected ISA)**, never per-thread-count.
-//! Every output element is accumulated as a single chain with `p` (the
-//! contraction index) strictly ascending; which *independent* elements are
+//! Every output element is accumulated as a single chain from `0.0` with
+//! `p` (the contraction index) strictly ascending, and the epilogue is
+//! applied to the finished chain; which *independent* elements are
 //! computed together (tile shape, vector width, row-chunk boundaries) never
 //! changes the order within one element's chain. Concretely:
 //!
-//! * The SSE2/AVX2 bodies accumulate *individually rounded* `acc + a·b`
-//!   steps. `x + a·b + c·d` in Rust is left-associated and never
-//!   reassociated or contracted into FMA, so those two instantiations, the
-//!   remainder loops, and a naive triple loop all produce bit-identical
-//!   results.
+//! * The portable body accumulates *individually rounded* `acc + a·b`
+//!   steps. Rust never reassociates f32 arithmetic or contracts it into
+//!   FMA, so its row tiles, its row remainder and a naive triple loop all
+//!   produce bit-identical results.
 //! * The FMA bodies accumulate `acc = a.mul_add(b, acc)` — one fused
 //!   rounding per step. The vector tiles, the 8-wide panel, the column
 //!   strips, and the row remainders all use the same per-element chain, so
 //!   the FMA path is bitwise self-consistent for any row split and equals a
-//!   naive `mul_add` triple loop bitwise. It differs from the non-FMA paths
+//!   naive `mul_add` triple loop bitwise. It differs from the portable path
 //!   by the fused rounding (≤ 1 ULP per step), which is why the contract is
 //!   per-ISA.
 //!
@@ -45,371 +46,12 @@
 //! [`detected_isa`]) so baselines compare like-to-like.
 
 /// Row-chunk granularity for parallel dispatch: a multiple of every row-tile
-/// height used below (4 baseline, 6 on the AVX2 path), so chunk interiors
-/// are full tiles regardless of which ISA body runs.
+/// height used below (4 on the portable path, 6 on the FMA path), so chunk
+/// interiors are full tiles whichever body runs.
 pub(crate) const TILE_M: usize = 12;
 
-#[inline(always)]
-fn load<const W: usize>(x: &[f32], off: usize) -> [f32; W] {
-    let mut v = [0.0f32; W];
-    // The slice is exactly W long by construction; copy_from_slice keeps
-    // the bounds check but removes the Result-unwrap panic machinery from
-    // the innermost GEMM loop.
-    v.copy_from_slice(&x[off..off + W]);
-    v
-}
-
-#[inline(always)]
-fn store_add<const W: usize>(x: &mut [f32], off: usize, v: &[f32; W]) {
-    let dst = &mut x[off..off + W];
-    for t in 0..W {
-        dst[t] += v[t];
-    }
-}
-
-/// `C (m×n) += A (m×k) @ B (k×n)`, row-major, `C` pre-zeroed by callers
-/// that want a plain product. Axpy form: `MR` rows × `NRW` columns per tile.
-#[inline(always)]
-fn gemm_nn_body<const MR: usize, const NRW: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut j = 0;
-    while j + NRW <= n {
-        let mut i = 0;
-        while i + MR <= m {
-            let mut acc = [[0.0f32; NRW]; MR];
-            let mut p = 0;
-            while p + 2 <= k {
-                let b0 = load::<NRW>(b, p * n + j);
-                let b1 = load::<NRW>(b, (p + 1) * n + j);
-                for r in 0..MR {
-                    let a0 = a[(i + r) * k + p];
-                    let a1 = a[(i + r) * k + p + 1];
-                    let row = &mut acc[r];
-                    for t in 0..NRW {
-                        row[t] = row[t] + a0 * b0[t] + a1 * b1[t];
-                    }
-                }
-                p += 2;
-            }
-            if p < k {
-                let b0 = load::<NRW>(b, p * n + j);
-                for r in 0..MR {
-                    let a0 = a[(i + r) * k + p];
-                    let row = &mut acc[r];
-                    for t in 0..NRW {
-                        row[t] += a0 * b0[t];
-                    }
-                }
-            }
-            for r in 0..MR {
-                store_add::<NRW>(c, (i + r) * n + j, &acc[r]);
-            }
-            i += MR;
-        }
-        while i < m {
-            let mut acc = [0.0f32; NRW];
-            for p in 0..k {
-                let a0 = a[i * k + p];
-                let b0 = load::<NRW>(b, p * n + j);
-                for t in 0..NRW {
-                    acc[t] += a0 * b0[t];
-                }
-            }
-            store_add::<NRW>(c, i * n + j, &acc);
-            i += 1;
-        }
-        j += NRW;
-    }
-    if j < n {
-        // Column tail: per-row axpy over the remaining columns, p ascending.
-        for i in 0..m {
-            for p in 0..k {
-                let a0 = a[i * k + p];
-                let brow = &b[p * n + j..(p + 1) * n];
-                let crow = &mut c[i * n + j..(i + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += a0 * bv;
-                }
-            }
-        }
-    }
-}
-
-/// `C (m×n) += A (m×k) @ Bᵀ` where `B` is stored `n×k` (row = one output
-/// column). Dot-product form: both operands stream contiguously.
-#[inline(always)]
-fn gemm_nt_body<const MR: usize, const NTW: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut i = 0;
-    while i + MR <= m {
-        let mut j = 0;
-        while j + NTW <= n {
-            let mut acc = [[0.0f32; NTW]; MR];
-            let mut p = 0;
-            while p + 2 <= k {
-                let mut av = [[0.0f32; 2]; MR];
-                let mut bv = [[0.0f32; 2]; NTW];
-                for r in 0..MR {
-                    av[r] = load::<2>(a, (i + r) * k + p);
-                }
-                for t in 0..NTW {
-                    bv[t] = load::<2>(b, (j + t) * k + p);
-                }
-                for r in 0..MR {
-                    for t in 0..NTW {
-                        acc[r][t] = acc[r][t] + av[r][0] * bv[t][0] + av[r][1] * bv[t][1];
-                    }
-                }
-                p += 2;
-            }
-            if p < k {
-                for r in 0..MR {
-                    let a0 = a[(i + r) * k + p];
-                    for t in 0..NTW {
-                        acc[r][t] += a0 * b[(j + t) * k + p];
-                    }
-                }
-            }
-            for r in 0..MR {
-                store_add::<NTW>(c, (i + r) * n + j, &acc[r]);
-            }
-            j += NTW;
-        }
-        while j < n {
-            let brow = &b[j * k..(j + 1) * k];
-            for r in 0..MR {
-                let arow = &a[(i + r) * k..(i + r + 1) * k];
-                let mut acc = 0.0f32;
-                for (x, y) in arow.iter().zip(brow) {
-                    acc += x * y;
-                }
-                c[(i + r) * n + j] += acc;
-            }
-            j += 1;
-        }
-        i += MR;
-    }
-    while i < m {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (x, y) in arow.iter().zip(brow) {
-                acc += x * y;
-            }
-            c[i * n + j] += acc;
-        }
-        i += 1;
-    }
-}
-
-/// `C rows [i0, i1) += (Aᵀ @ B)` rows `[i0, i1)`, where `A` is stored
-/// `k×m` and `B` is `k×n`; `c` holds only the `(i1-i0)×n` output window.
-/// The row-range signature lets parallel chunks share the full `A`/`B`
-/// (columns of `A` cannot be sliced contiguously).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_tn_body<const MR: usize, const NRW: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    let mut j = 0;
-    while j + NRW <= n {
-        let mut i = i0;
-        while i + MR <= i1 {
-            let mut acc = [[0.0f32; NRW]; MR];
-            let mut p = 0;
-            while p + 2 <= k {
-                let b0 = load::<NRW>(b, p * n + j);
-                let b1 = load::<NRW>(b, (p + 1) * n + j);
-                for r in 0..MR {
-                    let a0 = a[p * m + i + r];
-                    let a1 = a[(p + 1) * m + i + r];
-                    let row = &mut acc[r];
-                    for t in 0..NRW {
-                        row[t] = row[t] + a0 * b0[t] + a1 * b1[t];
-                    }
-                }
-                p += 2;
-            }
-            if p < k {
-                let b0 = load::<NRW>(b, p * n + j);
-                for r in 0..MR {
-                    let a0 = a[p * m + i + r];
-                    let row = &mut acc[r];
-                    for t in 0..NRW {
-                        row[t] += a0 * b0[t];
-                    }
-                }
-            }
-            for r in 0..MR {
-                store_add::<NRW>(c, (i - i0 + r) * n + j, &acc[r]);
-            }
-            i += MR;
-        }
-        while i < i1 {
-            let mut acc = [0.0f32; NRW];
-            for p in 0..k {
-                let a0 = a[p * m + i];
-                let b0 = load::<NRW>(b, p * n + j);
-                for t in 0..NRW {
-                    acc[t] += a0 * b0[t];
-                }
-            }
-            store_add::<NRW>(c, (i - i0) * n + j, &acc);
-            i += 1;
-        }
-        j += NRW;
-    }
-    if j < n {
-        for i in i0..i1 {
-            for p in 0..k {
-                let a0 = a[p * m + i];
-                let brow = &b[p * n + j..(p + 1) * n];
-                let crow = &mut c[(i - i0) * n + j..(i - i0 + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += a0 * bv;
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// ISA dispatch: the AVX2 instantiations widen the column tile (16 f32 = two
-// YMM registers per accumulator row) and let LLVM vectorize the same body
-// with 8-wide instructions. Output bits are identical to the baseline path
-// by the determinism contract above; only throughput changes. AVX2 alone is
-// enabled in these two instantiations (never FMA), so no mul/add contraction
-// can occur; the explicit-FMA packed path further below is a *third*
-// instantiation with its own (per-ISA) bit pattern.
-// ---------------------------------------------------------------------------
-
-// SAFETY: `#[target_feature(enable = "avx2")]` is the *only* source of
-// unsafety in these three wrappers — executing them on a CPU without AVX2
-// is undefined behaviour. Precondition: callers must have verified AVX2
-// support at runtime (every call site gates on `has_avx2()`, i.e. cpuid via
-// `is_x86_feature_detected!`). No alignment precondition: the bodies are
-// safe Rust over `&[f32]` slices and LLVM emits unaligned loads. Bounds
-// are the safe dispatchers' debug-asserted contract (`a.len() == m·k`,
-// etc.), re-checked here with `debug_assert!` because this is the unsafe
-// entry point; the generic bodies then do their own slice indexing.
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_nn_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    gemm_nn_body::<6, 16>(a, b, c, m, k, n)
-}
-
-// SAFETY: see `gemm_nn_avx2` — sole precondition is runtime-verified AVX2
-// (cpuid-gated at every call site); `b` is stored transposed (`n×k`).
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_nt_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    gemm_nt_body::<4, 8>(a, b, c, m, k, n)
-}
-
-// SAFETY: see `gemm_nn_avx2` — sole precondition is runtime-verified AVX2
-// (cpuid-gated at every call site); `c` is the `(i1-i0)×n` output window of
-// the `[i0, i1)` row range, per the row-range contract of `gemm_tn_body`.
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_tn_avx2(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    debug_assert!(i0 <= i1 && i1 <= m);
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), (i1 - i0) * n);
-    gemm_tn_body::<4, 16>(a, b, c, i0, i1, k, m, n)
-}
-
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[inline]
-fn has_avx2() -> bool {
-    // Cached by std behind an atomic; effectively free after the first call.
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-pub(crate) fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    if has_avx2() {
-        // SAFETY: the avx2 feature was just detected at runtime.
-        return unsafe { gemm_nn_avx2(a, b, c, m, k, n) };
-    }
-    gemm_nn_body::<4, 8>(a, b, c, m, k, n)
-}
-
-pub(crate) fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    if has_avx2() {
-        // SAFETY: the avx2 feature was just detected at runtime.
-        return unsafe { gemm_nt_avx2(a, b, c, m, k, n) };
-    }
-    gemm_nt_body::<4, 4>(a, b, c, m, k, n)
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_tn(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), (i1 - i0) * n);
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    if has_avx2() {
-        // SAFETY: the avx2 feature was just detected at runtime.
-        return unsafe { gemm_tn_avx2(a, b, c, i0, i1, k, m, n) };
-    }
-    gemm_tn_body::<4, 8>(a, b, c, i0, i1, k, m, n)
-}
-
-// ---------------------------------------------------------------------------
-// FMA path: packed B panels + fused multiply-add tiles + fused epilogues.
+// Packed B panels, shared by both tile bodies.
 //
 // Packed layout (one buffer of exactly k·n floats, built once per GEMM call
 // and shared read-only by every row chunk):
@@ -428,11 +70,10 @@ pub(crate) fn gemm_tn(
 // nothing.
 // ---------------------------------------------------------------------------
 
-/// Post-GEMM transform fused into the accumulator-store tail of the FMA
-/// kernels (and applied as one in-place pass after the non-FMA fallback).
-/// The bias slice is one value per output column; ReLU and sigmoid match
-/// the autograd ops (`max(0)` / `miss_util::sigmoid`) exactly, so fusing
-/// changes only where the work happens, not the math applied.
+/// Post-GEMM transform fused into the accumulator-store tail of both tile
+/// bodies. The bias slice is one value per output column; ReLU and sigmoid
+/// match the autograd ops (`max(0)` / `miss_util::sigmoid`) exactly, so
+/// fusing changes only where the work happens, not the math applied.
 #[derive(Clone, Copy, Debug)]
 pub enum GemmEpilogue<'a> {
     /// Plain product.
@@ -457,8 +98,9 @@ impl GemmEpilogue<'_> {
         }
     }
 
-    /// The transform applied to one finished accumulator for column `j`.
-    #[inline(always)]
+    /// The transform applied to one finished accumulator for column `j`:
+    /// the unfused reference the kernel tests compare the store tail with.
+    #[cfg(test)]
     fn apply(&self, j: usize, acc: f32) -> f32 {
         debug_assert!(
             self.bias().is_none_or(|b| j < b.len()),
@@ -474,7 +116,7 @@ impl GemmEpilogue<'_> {
 }
 
 /// [`GemmEpilogue::apply`] with the variant selected at compile time. The
-/// FMA kernels are monomorphised per epilogue so the common `None` GEMM
+/// kernels are monomorphised per epilogue so the common `None` GEMM
 /// contains no bias loads, no branch, and — critically — no inlined `exp`
 /// call whose register clobbers would force the accumulator tile to spill.
 #[inline(always)]
@@ -484,21 +126,6 @@ fn ep_apply<const EP: u8>(bias: &[f32], j: usize, acc: f32) -> f32 {
         1 => acc + bias[j],
         2 => (acc + bias[j]).max(0.0),
         _ => miss_util::sigmoid(acc + bias[j]),
-    }
-}
-
-/// Unfused epilogue pass for the non-FMA fallback kernels: transforms a
-/// finished `rows×n` chunk of C in place. Same per-element math as the
-/// fused store tail, so on a non-FMA machine fused and unfused calls are
-/// bit-identical.
-pub(crate) fn apply_epilogue(c: &mut [f32], n: usize, ep: &GemmEpilogue) {
-    if matches!(ep, GemmEpilogue::None) {
-        return;
-    }
-    for row in c.chunks_exact_mut(n) {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = ep.apply(j, *v);
-        }
     }
 }
 
@@ -793,8 +420,8 @@ fn fma_strip_colmajor<const EP: u8>(
 // intrinsics in the inlined tile bodies are the only sources of unsafety in
 // the two FMA wrappers below — executing them on a CPU without AVX2+FMA is
 // undefined behaviour. Precondition: callers must have verified both
-// features at runtime; the safe entry points `gemm_fma_rowmajor` /
-// `gemm_fma_colmajor` assert `has_fma()` (cached cpuid) before the call.
+// features at runtime; the safe dispatchers `gemm_rowmajor` /
+// `gemm_colmajor` call them only after `has_fma()` (cached cpuid) is true.
 // No alignment precondition (all vector memory ops are unaligned); bounds
 // for the tile bodies' unchecked loads follow from the debug-asserted
 // shape contract re-checked here at the unsafe entry point.
@@ -836,7 +463,7 @@ unsafe fn gemm_fma_rowmajor_avx2<const EP: u8>(
 }
 
 // SAFETY: see `gemm_fma_rowmajor_avx2` — sole precondition is runtime-
-// verified AVX2+FMA (asserted by the safe entry point); `a` is stored
+// verified AVX2+FMA (checked by the safe dispatcher); `a` is stored
 // transposed (`k×m`) and `c` is the `(i1-i0)×n` window of rows `[i0, i1)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
@@ -878,6 +505,122 @@ unsafe fn gemm_fma_colmajor_avx2<const EP: u8>(
     }
 }
 
+// ---------------------------------------------------------------------------
+// Portable path: the same panels, individually rounded accumulation, safe
+// Rust only. Runs wherever `has_fma()` is false.
+// ---------------------------------------------------------------------------
+
+/// Row-tile height of the portable body.
+const PORTABLE_MR: usize = 4;
+
+/// Portable GEMM over packed B: `c = ep(A @ B)` for output rows `[i0, i1)`,
+/// written into the window `c`. `COL = false` reads row-major A
+/// (`a[i·am + p]`, `am = k`); `COL = true` reads transposed-A storage
+/// (`a[p·am + i]`, `am = m`). Walks the packed layout like the FMA wrappers.
+#[allow(clippy::too_many_arguments)]
+fn gemm_portable<const COL: bool, const EP: u8>(
+    a: &[f32],
+    pb: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i1: usize,
+    k: usize,
+    am: usize,
+    n: usize,
+    bias: &[f32],
+) {
+    debug_assert!(i0 <= i1 && (!COL || i1 <= am));
+    debug_assert_eq!(pb.len(), k * n);
+    debug_assert_eq!(c.len(), (i1 - i0) * n);
+    let (panels16, has8, strips) = panel_split(n);
+    for j in 0..panels16 {
+        let panel = &pb[j * k * 16..(j + 1) * k * 16];
+        gemm_portable_panel::<16, COL, EP>(a, panel, c, i0, i1, k, am, n, j * 16, bias);
+    }
+    let mut off = panels16 * k * 16;
+    let mut j0 = panels16 * 16;
+    if has8 {
+        gemm_portable_panel::<8, COL, EP>(a, &pb[off..off + k * 8], c, i0, i1, k, am, n, j0, bias);
+        off += k * 8;
+        j0 += 8;
+    }
+    for s in 0..strips {
+        let strip = &pb[off + s * k..off + (s + 1) * k];
+        gemm_portable_panel::<1, COL, EP>(a, strip, c, i0, i1, k, am, n, j0 + s, bias);
+    }
+}
+
+/// One `W`-wide packed panel (a 1-wide strip is a panel too) against output
+/// rows `[i0, i1)`: full `PORTABLE_MR`-row tiles, then the row remainder
+/// one row at a time through the same tile code.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_portable_panel<const W: usize, const COL: bool, const EP: u8>(
+    a: &[f32],
+    panel: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i1: usize,
+    k: usize,
+    am: usize,
+    n: usize,
+    j0: usize,
+    bias: &[f32],
+) {
+    debug_assert!(i0 <= i1);
+    let tiled = i0 + (i1 - i0) / PORTABLE_MR * PORTABLE_MR;
+    let (c_tiled, c_rest) = c.split_at_mut((tiled - i0) * n);
+    gemm_portable_rows::<PORTABLE_MR, W, COL, EP>(a, panel, c_tiled, i0, tiled, k, am, n, j0, bias);
+    gemm_portable_rows::<1, W, COL, EP>(a, panel, c_rest, tiled, i1, k, am, n, j0, bias);
+}
+
+/// `MR`-row tiles of one `W`-wide panel over rows `[i0, i1)` (`i1 − i0` a
+/// multiple of `MR`): `c[i][j0 + t] = ep(Σ_p a[i][p] · panel[p·W + t])`,
+/// each element one chain of individually rounded `acc + a·b` steps from
+/// `0.0` with `p` ascending, the epilogue applied to the finished chain.
+/// The tile height only groups independent chains, so every `MR` gives the
+/// same bits.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_portable_rows<const MR: usize, const W: usize, const COL: bool, const EP: u8>(
+    a: &[f32],
+    panel: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i1: usize,
+    k: usize,
+    am: usize,
+    n: usize,
+    j0: usize,
+    bias: &[f32],
+) {
+    debug_assert!(panel.len() >= k * W);
+    debug_assert_eq!((i1 - i0) % MR, 0);
+    let (row_stride, p_stride) = if COL { (1, am) } else { (am, 1) };
+    for i in (i0..i1).step_by(MR) {
+        let mut acc = [[0.0f32; W]; MR];
+        for p in 0..k {
+            let b = &panel[p * W..(p + 1) * W];
+            for r in 0..MR {
+                let av = a[(i + r) * row_stride + p * p_stride];
+                for t in 0..W {
+                    acc[r][t] += av * b[t];
+                }
+            }
+        }
+        for r in 0..MR {
+            let dst = &mut c[(i - i0 + r) * n + j0..(i - i0 + r) * n + j0 + W];
+            for t in 0..W {
+                dst[t] = ep_apply::<EP>(bias, j0 + t, acc[r][t]);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch: the only place that names an ISA.
+// ---------------------------------------------------------------------------
+
 /// Whether the packed FMA path is available (AVX2 + FMA both detected).
 /// Cached by std behind atomics; effectively free after the first call.
 #[inline]
@@ -892,25 +635,23 @@ pub(crate) fn has_fma() -> bool {
     }
 }
 
-/// The GEMM instruction path `matmul`/`bmm` dispatch to on this machine.
-/// Recorded in bench JSON metadata so baselines compare like-to-like
-/// (result bits are a pure function of shape and this value).
+/// The GEMM instruction path `matmul`/`bmm` dispatch to on this machine:
+/// `"avx2+fma"` or `"portable"`. Recorded in bench JSON metadata so
+/// baselines compare like-to-like (result bits are a pure function of
+/// shape and this value).
 pub fn detected_isa() -> &'static str {
     if has_fma() {
-        return "avx2+fma";
+        "avx2+fma"
+    } else {
+        "portable"
     }
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    if has_avx2() {
-        return "avx2";
-    }
-    "baseline"
 }
 
-/// Packed-B FMA GEMM over row-major A: `c = ep(a @ B)` where `pb` is the
-/// packed form of the `k×n` B (from either storage). *Assigns* `c` (it does
-/// not accumulate). Panics if the FMA path is unavailable — callers
-/// dispatch on [`has_fma`].
-pub(crate) fn gemm_fma_rowmajor(
+/// Packed-B GEMM over row-major A: `c = ep(a @ B)` where `pb` is the packed
+/// form of the `k×n` B (from either storage). *Assigns* `c` (it does not
+/// accumulate). The match selects the epilogue monomorphisation so the
+/// plain GEMM carries no epilogue code at all.
+pub(crate) fn gemm_rowmajor(
     a: &[f32],
     pb: &[f32],
     c: &mut [f32],
@@ -919,28 +660,39 @@ pub(crate) fn gemm_fma_rowmajor(
     n: usize,
     ep: &GemmEpilogue,
 ) {
-    assert!(has_fma(), "FMA kernel dispatched without CPU support");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: avx2+fma support was verified by the assert above. The match
-    // selects the epilogue monomorphisation so the plain GEMM carries no
-    // epilogue code at all.
-    unsafe {
-        match *ep {
-            GemmEpilogue::None => gemm_fma_rowmajor_avx2::<0>(a, pb, c, m, k, n, &[]),
-            GemmEpilogue::AddBias(b) => gemm_fma_rowmajor_avx2::<1>(a, pb, c, m, k, n, b),
-            GemmEpilogue::AddBiasRelu(b) => gemm_fma_rowmajor_avx2::<2>(a, pb, c, m, k, n, b),
-            GemmEpilogue::AddBiasSigmoid(b) => gemm_fma_rowmajor_avx2::<3>(a, pb, c, m, k, n, b),
-        }
+    match *ep {
+        GemmEpilogue::None => gemm_rowmajor_isa::<0>(a, pb, c, m, k, n, &[]),
+        GemmEpilogue::AddBias(b) => gemm_rowmajor_isa::<1>(a, pb, c, m, k, n, b),
+        GemmEpilogue::AddBiasRelu(b) => gemm_rowmajor_isa::<2>(a, pb, c, m, k, n, b),
+        GemmEpilogue::AddBiasSigmoid(b) => gemm_rowmajor_isa::<3>(a, pb, c, m, k, n, b),
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("has_fma() is false off x86_64")
 }
 
-/// Packed-B FMA GEMM over transposed-A storage (`a` is `k×m`): writes output
-/// rows `[i0, i1)` into the window `c`. Same contract as
-/// [`gemm_fma_rowmajor`].
+/// One epilogue instance of [`gemm_rowmajor`]: the FMA kernel where the CPU
+/// has it, the portable body everywhere else.
+#[inline(always)]
+fn gemm_rowmajor_isa<const EP: u8>(
+    a: &[f32],
+    pb: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: &[f32],
+) {
+    debug_assert_eq!(a.len(), m * k);
+    #[cfg(target_arch = "x86_64")]
+    if has_fma() {
+        // SAFETY: avx2+fma support was just detected at runtime.
+        return unsafe { gemm_fma_rowmajor_avx2::<EP>(a, pb, c, m, k, n, bias) };
+    }
+    gemm_portable::<false, EP>(a, pb, c, 0, m, k, k, n, bias)
+}
+
+/// Packed-B GEMM over transposed-A storage (`a` is `k×m`): writes output
+/// rows `[i0, i1)` into the window `c`. Same contract as [`gemm_rowmajor`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_fma_colmajor(
+pub(crate) fn gemm_colmajor(
     a: &[f32],
     pb: &[f32],
     c: &mut [f32],
@@ -951,32 +703,44 @@ pub(crate) fn gemm_fma_colmajor(
     n: usize,
     ep: &GemmEpilogue,
 ) {
-    assert!(has_fma(), "FMA kernel dispatched without CPU support");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: avx2+fma support was verified by the assert above; epilogue
-    // monomorphisation as in `gemm_fma_rowmajor`.
-    unsafe {
-        match *ep {
-            GemmEpilogue::None => gemm_fma_colmajor_avx2::<0>(a, pb, c, i0, i1, k, m, n, &[]),
-            GemmEpilogue::AddBias(b) => gemm_fma_colmajor_avx2::<1>(a, pb, c, i0, i1, k, m, n, b),
-            GemmEpilogue::AddBiasRelu(b) => {
-                gemm_fma_colmajor_avx2::<2>(a, pb, c, i0, i1, k, m, n, b)
-            }
-            GemmEpilogue::AddBiasSigmoid(b) => {
-                gemm_fma_colmajor_avx2::<3>(a, pb, c, i0, i1, k, m, n, b)
-            }
-        }
+    match *ep {
+        GemmEpilogue::None => gemm_colmajor_isa::<0>(a, pb, c, i0, i1, k, m, n, &[]),
+        GemmEpilogue::AddBias(b) => gemm_colmajor_isa::<1>(a, pb, c, i0, i1, k, m, n, b),
+        GemmEpilogue::AddBiasRelu(b) => gemm_colmajor_isa::<2>(a, pb, c, i0, i1, k, m, n, b),
+        GemmEpilogue::AddBiasSigmoid(b) => gemm_colmajor_isa::<3>(a, pb, c, i0, i1, k, m, n, b),
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("has_fma() is false off x86_64")
+}
+
+/// One epilogue instance of [`gemm_colmajor`], dispatched as in
+/// [`gemm_rowmajor_isa`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_colmajor_isa<const EP: u8>(
+    a: &[f32],
+    pb: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    i1: usize,
+    k: usize,
+    m: usize,
+    n: usize,
+    bias: &[f32],
+) {
+    debug_assert_eq!(a.len(), k * m);
+    #[cfg(target_arch = "x86_64")]
+    if has_fma() {
+        // SAFETY: avx2+fma support was just detected at runtime.
+        return unsafe { gemm_fma_colmajor_avx2::<EP>(a, pb, c, i0, i1, k, m, n, bias) };
+    }
+    gemm_portable::<true, EP>(a, pb, c, i0, i1, k, m, n, bias)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Textbook p-ascending reference; by the determinism contract the tiled
-    /// kernels must match it *bitwise*, not just within tolerance.
+    /// Textbook p-ascending reference; by the determinism contract the
+    /// portable body must match it *bitwise*, not just within tolerance.
     fn reference_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
@@ -995,71 +759,162 @@ mod tests {
         (0..len).map(f).collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn packed_nn(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+        let mut pb = Vec::new();
+        pack_b_from_nn(b, k, n, &mut pb);
+        pb
+    }
+
+    /// `a` stored transposed (`k×m`).
+    fn transposed(a: &[f32], m: usize, k: usize) -> Vec<f32> {
+        fill(k * m, |i| a[(i % m) * k + i / m])
+    }
+
+    /// The portable body on rows `[i0, i1)` with a runtime epilogue, into a
+    /// NaN-filled window so an element the kernel fails to assign shows up.
+    #[allow(clippy::too_many_arguments)]
+    fn portable<const COL: bool>(
+        a: &[f32],
+        pb: &[f32],
+        i0: usize,
+        i1: usize,
+        k: usize,
+        am: usize,
+        n: usize,
+        ep: &GemmEpilogue,
+    ) -> Vec<f32> {
+        let mut c = vec![f32::NAN; (i1 - i0) * n];
+        let w = &mut c;
+        match *ep {
+            GemmEpilogue::None => gemm_portable::<COL, 0>(a, pb, w, i0, i1, k, am, n, &[]),
+            GemmEpilogue::AddBias(b) => gemm_portable::<COL, 1>(a, pb, w, i0, i1, k, am, n, b),
+            GemmEpilogue::AddBiasRelu(b) => gemm_portable::<COL, 2>(a, pb, w, i0, i1, k, am, n, b),
+            GemmEpilogue::AddBiasSigmoid(b) => {
+                gemm_portable::<COL, 3>(a, pb, w, i0, i1, k, am, n, b)
+            }
+        }
+        c
+    }
+
+    /// Shapes straddling every tile boundary: below, at and past the 4-row
+    /// tile, the 8-wide panel and the 16-wide panels, plus column strips.
+    const AWKWARD: &[(usize, usize, usize)] = &[
+        (1, 1, 1),
+        (3, 5, 7),
+        (4, 8, 8),
+        (5, 9, 17),
+        (13, 6, 10),
+        (8, 2, 9),
+        (6, 11, 19),
+        (9, 3, 25),
+        (7, 4, 33),
+    ];
+
     #[test]
-    fn tiled_kernels_match_reference_bitwise_at_awkward_sizes() {
-        // Sizes straddle every tile boundary: below, at, and past 4/8/16.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (4, 8, 8),
-            (5, 9, 17),
-            (13, 6, 10),
-            (8, 2, 9),
-            (6, 11, 19),
-        ] {
+    fn portable_body_matches_reference_bitwise_at_awkward_sizes() {
+        let none = GemmEpilogue::None;
+        for &(m, k, n) in AWKWARD {
             let a = fill(m * k, |i| ((i * 37 % 19) as f32 - 9.0) * 0.37);
             let b = fill(k * n, |i| ((i * 23 % 17) as f32 - 8.0) * 0.29);
-            let want = reference_nn(&a, &b, m, k, n);
+            let want = bits(&reference_nn(&a, &b, m, k, n));
 
-            let mut c = vec![0.0f32; m * n];
-            gemm_nn(&a, &b, &mut c, m, k, n);
-            assert_eq!(c, want, "gemm_nn {m}x{k}x{n}");
+            let pb = packed_nn(&b, k, n);
+            let got = portable::<false>(&a, &pb, 0, m, k, k, n, &none);
+            assert_eq!(bits(&got), want, "nn-packed {m}x{k}x{n}");
 
-            // nt: B stored transposed (n×k).
+            // B stored transposed (n×k), packed by the transposing gather.
             let bt = fill(n * k, |i| b[(i % k) * n + i / k]);
-            let mut c = vec![0.0f32; m * n];
-            gemm_nt(&a, &bt, &mut c, m, k, n);
-            assert_eq!(c, want, "gemm_nt {m}x{k}x{n}");
+            let mut pbt = Vec::new();
+            pack_b_from_nt(&bt, n, k, &mut pbt);
+            let got = portable::<false>(&a, &pbt, 0, m, k, k, n, &none);
+            assert_eq!(bits(&got), want, "nt-packed {m}x{k}x{n}");
 
-            // tn: A stored transposed (k×m), full row range.
-            let at = fill(k * m, |i| a[(i % m) * k + i / m]);
-            let mut c = vec![0.0f32; m * n];
-            gemm_tn(&at, &b, &mut c, 0, m, k, m, n);
-            assert_eq!(c, want, "gemm_tn {m}x{k}x{n}");
+            // A stored transposed (k×m), full row range.
+            let at = transposed(&a, m, k);
+            let got = portable::<true>(&at, &pb, 0, m, k, m, n, &none);
+            assert_eq!(bits(&got), want, "colmajor {m}x{k}x{n}");
         }
     }
 
     #[test]
-    fn isa_paths_agree_bitwise() {
-        // Both tile instantiations must produce the same bits; on machines
-        // with AVX2 this compares the wide path against the baseline body.
-        let (m, k, n) = (23, 17, 37);
-        let a = fill(m * k, |i| ((i * 41 % 29) as f32 - 14.0) * 0.21);
-        let b = fill(k * n, |i| ((i * 13 % 23) as f32 - 11.0) * 0.17);
-        let mut wide = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &mut wide, m, k, n);
-        let mut narrow = vec![0.0f32; m * n];
-        gemm_nn_body::<4, 8>(&a, &b, &mut narrow, m, k, n);
-        assert_eq!(wide, narrow, "dispatched vs baseline gemm_nn");
-        let mut narrower = vec![0.0f32; m * n];
-        gemm_nn_body::<2, 4>(&a, &b, &mut narrower, m, k, n);
-        assert_eq!(wide, narrower, "tile shape must not change bits");
+    fn portable_colmajor_row_windows_agree_with_full_range() {
+        let (m, k, n) = (11, 5, 25);
+        let at = fill(k * m, |i| (i as f32 * 0.11).sin());
+        let b = fill(k * n, |i| (i as f32 * 0.07).cos());
+        let pb = packed_nn(&b, k, n);
+        let none = GemmEpilogue::None;
+        let full = portable::<true>(&at, &pb, 0, m, k, m, n, &none);
+        let a = fill(m * k, |i| at[(i % k) * m + i / k]);
+        assert_eq!(bits(&full), bits(&reference_nn(&a, &b, m, k, n)));
+        // Any split into row windows must reproduce the same bits.
+        for split in [1, 4, 6, 10] {
+            let mut c = portable::<true>(&at, &pb, 0, split, k, m, n, &none);
+            c.extend(portable::<true>(&at, &pb, split, m, k, m, n, &none));
+            assert_eq!(bits(&c), bits(&full), "split at {split}");
+        }
     }
 
     #[test]
-    fn tn_row_windows_agree_with_full_range() {
-        let (m, k, n) = (11, 5, 9);
-        let at = fill(k * m, |i| (i as f32 * 0.11).sin());
-        let b = fill(k * n, |i| (i as f32 * 0.07).cos());
-        let mut full = vec![0.0f32; m * n];
-        gemm_tn(&at, &b, &mut full, 0, m, k, m, n);
-        // Any split into row windows must reproduce the same bits.
-        for split in [1, 4, 6, 10] {
-            let mut c = vec![0.0f32; m * n];
-            let (lo, hi) = c.split_at_mut(split * n);
-            gemm_tn(&at, &b, lo, 0, split, k, m, n);
-            gemm_tn(&at, &b, hi, split, m, k, m, n);
-            assert_eq!(c, full, "split at {split}");
+    fn portable_epilogues_equal_plain_gemm_then_apply() {
+        for &(m, k, n) in AWKWARD {
+            let a = fill(m * k, |i| ((i * 41 % 29) as f32 - 14.0) * 0.21);
+            let b = fill(k * n, |i| ((i * 13 % 23) as f32 - 11.0) * 0.17);
+            // Mixed signs so ReLU both clips and passes.
+            let bias = fill(n, |j| (j as f32 * 0.7).sin());
+            let pb = packed_nn(&b, k, n);
+            let at = transposed(&a, m, k);
+            let none = GemmEpilogue::None;
+            let plain = portable::<false>(&a, &pb, 0, m, k, k, n, &none);
+            for ep in [
+                GemmEpilogue::None,
+                GemmEpilogue::AddBias(&bias),
+                GemmEpilogue::AddBiasRelu(&bias),
+                GemmEpilogue::AddBiasSigmoid(&bias),
+            ] {
+                let want: Vec<f32> = plain
+                    .iter()
+                    .enumerate()
+                    .map(|(e, &v)| ep.apply(e % n, v))
+                    .collect();
+                let got = portable::<false>(&a, &pb, 0, m, k, k, n, &ep);
+                assert_eq!(bits(&got), bits(&want), "{ep:?} rowmajor {m}x{k}x{n}");
+                let got = portable::<true>(&at, &pb, 0, m, k, m, n, &ep);
+                assert_eq!(bits(&got), bits(&want), "{ep:?} colmajor {m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn portable_matches_dispatch_on_dyadic_inputs() {
+        // Entries (x − 16)/16 in [-1, 1]: every product is exact and every
+        // partial sum of ≤ 33 terms stays exact, so fused and individually
+        // rounded chains must agree bit for bit. On an FMA host this pins
+        // the portable body to the dispatched FMA kernels; elsewhere the
+        // dispatch runs the portable body itself.
+        for &(m, k, n) in AWKWARD {
+            let a = fill(m * k, |i| ((i * 13 % 33) as f32 - 16.0) / 16.0);
+            let b = fill(k * n, |i| ((i * 23 % 33) as f32 - 16.0) / 16.0);
+            let bias = fill(n, |j| ((j * 7 % 33) as f32 - 16.0) / 16.0);
+            let pb = packed_nn(&b, k, n);
+            let at = transposed(&a, m, k);
+            for ep in [
+                GemmEpilogue::None,
+                GemmEpilogue::AddBias(&bias),
+                GemmEpilogue::AddBiasRelu(&bias),
+                GemmEpilogue::AddBiasSigmoid(&bias),
+            ] {
+                let want = bits(&portable::<false>(&a, &pb, 0, m, k, k, n, &ep));
+                let mut c = vec![f32::NAN; m * n];
+                gemm_rowmajor(&a, &pb, &mut c, m, k, n, &ep);
+                assert_eq!(bits(&c), want, "{ep:?} rowmajor {m}x{k}x{n}");
+                let mut c = vec![f32::NAN; m * n];
+                gemm_colmajor(&at, &pb, &mut c, 0, m, k, m, n, &ep);
+                assert_eq!(bits(&c), want, "{ep:?} colmajor {m}x{k}x{n}");
+            }
         }
     }
 

@@ -9,10 +9,11 @@
 //! cache-friendly (see the Rust Performance Book: flat buffers, `ikj` matmul
 //! loop order, no per-element allocation).
 //!
-//! The matmul/bmm family runs on register-blocked tiled kernels (`kernels`)
+//! The matmul/bmm family runs on register-blocked tiled kernels over packed
+//! B panels (`kernels`: an avx2+fma body or a portable one, picked by cpuid)
 //! and, above a fixed size threshold, fans out row chunks over the
 //! `miss-parallel` pool. Accumulation order per output element is fixed
-//! (contraction index ascending, individually rounded), so results are
+//! (contraction index ascending, one rounding per step), so results are
 //! bit-identical for any `MISS_THREADS` value — see `kernels.rs` for the
 //! full determinism argument.
 

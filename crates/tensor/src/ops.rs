@@ -40,15 +40,24 @@ fn block_chunk_len(blocks: usize, macs: usize) -> usize {
     }
 }
 
+/// `out = ep(a @ B)` for row-major `a` (`m×k`) and the packed `k×n` B in
+/// `pb`, in row chunks of [`row_chunk_len`] fanned out over the pool.
+fn gemm_rows(a: &[f32], pb: &[f32], out: &mut Tensor, k: usize, ep: &GemmEpilogue) {
+    let (m, n) = out.shape();
+    debug_assert_eq!(a.len(), m * k);
+    let chunk_rows = row_chunk_len(m, m * k * n);
+    miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
+        let r0 = start / n;
+        let rows = c.len() / n;
+        kernels::gemm_rowmajor(&a[r0 * k..(r0 + rows) * k], pb, c, rows, k, n, ep);
+    });
+}
+
 /// A `k×n` right-hand operand packed once into the kernel's panel layout so
 /// repeated multiplies against it (frozen inference, eval loops) skip the
-/// per-call pack that [`Tensor::matmul_nn_ep`] performs.
-///
-/// On FMA machines `panels` holds exactly the bytes `pack_b_from_nn` would
-/// produce for this operand, so a prepacked multiply is bit-identical to the
-/// pack-per-call path. On non-FMA machines the kernels read row-major B
-/// directly, so we keep a plain copy instead; `has_fma()` is constant for
-/// the life of the process, which makes the choice at pack time safe.
+/// per-call pack that [`Tensor::matmul_nn_ep`] performs. The panels hold
+/// exactly the bytes `pack_b_from_nn` produces for this operand, so a
+/// prepacked multiply is bit-identical to the pack-per-call path.
 pub struct PackedB {
     k: usize,
     n: usize,
@@ -61,11 +70,7 @@ impl PackedB {
     pub fn pack(b: &Tensor) -> PackedB {
         let (k, n) = b.shape();
         let mut data = Vec::new();
-        if kernels::has_fma() {
-            kernels::pack_b_from_nn(b.as_slice(), k, n, &mut data);
-        } else {
-            data.extend_from_slice(b.as_slice());
-        }
+        kernels::pack_b_from_nn(b.as_slice(), k, n, &mut data);
         PackedB { k, n, data }
     }
 
@@ -102,35 +107,15 @@ impl Tensor {
             assert_eq!(b.len(), n, "epilogue bias width");
         }
         let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return out;
+        if !out.is_empty() {
+            gemm_rows(self.as_slice(), &other.data, &mut out, k, &ep);
         }
-        let a = self.as_slice();
-        let chunk_rows = row_chunk_len(m, m * k * n);
-        if kernels::has_fma() {
-            let pb: &[f32] = &other.data;
-            miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-                let r0 = start / n;
-                let rows = c.len() / n;
-                kernels::gemm_fma_rowmajor(&a[r0 * k..(r0 + rows) * k], pb, c, rows, k, n, &ep);
-            });
-            return out;
-        }
-        let b: &[f32] = &other.data;
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-            let r0 = start / n;
-            let rows = c.len() / n;
-            kernels::gemm_nn(&a[r0 * k..(r0 + rows) * k], b, c, rows, k, n);
-            kernels::apply_epilogue(c, n, &ep);
-        });
         out
     }
 
     /// [`Tensor::matmul_nn`] with a fused epilogue: bias add and activation
     /// happen in the accumulator-store tail of the kernel instead of as
-    /// separate full-matrix passes. On non-FMA machines the epilogue runs
-    /// as one in-place pass per row chunk — same math, same bits as the
-    /// unfused sequence there.
+    /// separate full-matrix passes.
     pub fn matmul_nn_ep(&self, other: &Tensor, ep: GemmEpilogue) -> Tensor {
         let (m, k) = self.shape();
         let (k2, n) = other.shape();
@@ -139,31 +124,13 @@ impl Tensor {
             assert_eq!(b.len(), n, "epilogue bias width");
         }
         let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return out;
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let chunk_rows = row_chunk_len(m, m * k * n);
-        if kernels::has_fma() {
+        if !out.is_empty() {
             // Pack B once per call; every row chunk reads the same panels.
             kernels::with_pack_scratch(|pb| {
-                kernels::pack_b_from_nn(b, k, n, pb);
-                let pb: &[f32] = pb;
-                miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-                    let r0 = start / n;
-                    let rows = c.len() / n;
-                    kernels::gemm_fma_rowmajor(&a[r0 * k..(r0 + rows) * k], pb, c, rows, k, n, &ep);
-                });
+                kernels::pack_b_from_nn(other.as_slice(), k, n, pb);
+                gemm_rows(self.as_slice(), pb, &mut out, k, &ep);
             });
-            return out;
         }
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-            let r0 = start / n;
-            let rows = c.len() / n;
-            kernels::gemm_nn(&a[r0 * k..(r0 + rows) * k], b, c, rows, k, n);
-            kernels::apply_epilogue(c, n, &ep);
-        });
         out
     }
 
@@ -173,39 +140,14 @@ impl Tensor {
         let (n, k2) = other.shape();
         assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
         let mut out = Tensor::zeros(m, n);
-        if out.is_empty() {
-            return out;
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let chunk_rows = row_chunk_len(m, m * k * n);
-        if kernels::has_fma() {
+        if !out.is_empty() {
             // The transposing pack produces bytes identical to packing the
             // equivalent row-major B, so nt and nn agree bitwise.
             kernels::with_pack_scratch(|pb| {
-                kernels::pack_b_from_nt(b, n, k, pb);
-                let pb: &[f32] = pb;
-                miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-                    let r0 = start / n;
-                    let rows = c.len() / n;
-                    kernels::gemm_fma_rowmajor(
-                        &a[r0 * k..(r0 + rows) * k],
-                        pb,
-                        c,
-                        rows,
-                        k,
-                        n,
-                        &GemmEpilogue::None,
-                    );
-                });
+                kernels::pack_b_from_nt(other.as_slice(), n, k, pb);
+                gemm_rows(self.as_slice(), pb, &mut out, k, &GemmEpilogue::None);
             });
-            return out;
         }
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-            let r0 = start / n;
-            let rows = c.len() / n;
-            kernels::gemm_nt(&a[r0 * k..(r0 + rows) * k], b, c, rows, k, n);
-        });
         out
     }
 
@@ -219,24 +161,15 @@ impl Tensor {
             return out;
         }
         let a = self.as_slice();
-        let b = other.as_slice();
         let chunk_rows = row_chunk_len(m, m * k * n);
-        if kernels::has_fma() {
-            kernels::with_pack_scratch(|pb| {
-                kernels::pack_b_from_nn(b, k, n, pb);
-                let pb: &[f32] = pb;
-                miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-                    let i0 = start / n;
-                    let i1 = i0 + c.len() / n;
-                    kernels::gemm_fma_colmajor(a, pb, c, i0, i1, k, m, n, &GemmEpilogue::None);
-                });
+        kernels::with_pack_scratch(|pb| {
+            kernels::pack_b_from_nn(other.as_slice(), k, n, pb);
+            let pb: &[f32] = pb;
+            miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
+                let i0 = start / n;
+                let i1 = i0 + c.len() / n;
+                kernels::gemm_colmajor(a, pb, c, i0, i1, k, m, n, &GemmEpilogue::None);
             });
-            return out;
-        }
-        miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_rows * n, |_, start, c| {
-            let i0 = start / n;
-            let i1 = i0 + c.len() / n;
-            kernels::gemm_tn(a, b, c, i0, i1, k, m, n);
         });
         out
     }
@@ -256,24 +189,16 @@ impl Tensor {
         if out.is_empty() {
             return out;
         }
-        let a = self.as_slice();
-        let b = other.as_slice();
+        let (a, b) = (self.as_slice(), other.as_slice());
         let chunk_blocks = block_chunk_len(blocks, blocks * p * q * k);
-        let fma = kernels::has_fma();
         miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_blocks * p * q, |_, start, c| {
-            let blk0 = start / (p * q);
             // Each worker thread reuses its own pack scratch across blocks.
             kernels::with_pack_scratch(|pb| {
                 for (bi, cblk) in c.chunks_exact_mut(p * q).enumerate() {
-                    let blk = blk0 + bi;
+                    let blk = start / (p * q) + bi;
+                    kernels::pack_b_from_nt(&b[blk * q * k..(blk + 1) * q * k], q, k, pb);
                     let ablk = &a[blk * p * k..(blk + 1) * p * k];
-                    let bblk = &b[blk * q * k..(blk + 1) * q * k];
-                    if fma {
-                        kernels::pack_b_from_nt(bblk, q, k, pb);
-                        kernels::gemm_fma_rowmajor(ablk, pb, cblk, p, k, q, &GemmEpilogue::None);
-                    } else {
-                        kernels::gemm_nt(ablk, bblk, cblk, p, k, q);
-                    }
+                    kernels::gemm_rowmajor(ablk, pb, cblk, p, k, q, &GemmEpilogue::None);
                 }
             });
         });
@@ -293,23 +218,15 @@ impl Tensor {
         if out.is_empty() {
             return out;
         }
-        let a = self.as_slice();
-        let b = other.as_slice();
+        let (a, b) = (self.as_slice(), other.as_slice());
         let chunk_blocks = block_chunk_len(blocks, blocks * p * q * k);
-        let fma = kernels::has_fma();
         miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_blocks * p * k, |_, start, c| {
-            let blk0 = start / (p * k);
             kernels::with_pack_scratch(|pb| {
                 for (bi, cblk) in c.chunks_exact_mut(p * k).enumerate() {
-                    let blk = blk0 + bi;
+                    let blk = start / (p * k) + bi;
+                    kernels::pack_b_from_nn(&b[blk * q * k..(blk + 1) * q * k], q, k, pb);
                     let ablk = &a[blk * p * q..(blk + 1) * p * q];
-                    let bblk = &b[blk * q * k..(blk + 1) * q * k];
-                    if fma {
-                        kernels::pack_b_from_nn(bblk, q, k, pb);
-                        kernels::gemm_fma_rowmajor(ablk, pb, cblk, p, q, k, &GemmEpilogue::None);
-                    } else {
-                        kernels::gemm_nn(ablk, bblk, cblk, p, q, k);
-                    }
+                    kernels::gemm_rowmajor(ablk, pb, cblk, p, q, k, &GemmEpilogue::None);
                 }
             });
         });
@@ -329,33 +246,15 @@ impl Tensor {
         if out.is_empty() {
             return out;
         }
-        let a = self.as_slice();
-        let b = other.as_slice();
+        let (a, b) = (self.as_slice(), other.as_slice());
         let chunk_blocks = block_chunk_len(blocks, blocks * p * q * k);
-        let fma = kernels::has_fma();
         miss_parallel::par_chunks_mut(out.as_mut_slice(), chunk_blocks * q * k, |_, start, c| {
-            let blk0 = start / (q * k);
             kernels::with_pack_scratch(|pb| {
                 for (bi, cblk) in c.chunks_exact_mut(q * k).enumerate() {
-                    let blk = blk0 + bi;
+                    let blk = start / (q * k) + bi;
+                    kernels::pack_b_from_nn(&b[blk * p * k..(blk + 1) * p * k], p, k, pb);
                     let ablk = &a[blk * p * q..(blk + 1) * p * q];
-                    let bblk = &b[blk * p * k..(blk + 1) * p * k];
-                    if fma {
-                        kernels::pack_b_from_nn(bblk, p, k, pb);
-                        kernels::gemm_fma_colmajor(
-                            ablk,
-                            pb,
-                            cblk,
-                            0,
-                            q,
-                            p,
-                            q,
-                            k,
-                            &GemmEpilogue::None,
-                        );
-                    } else {
-                        kernels::gemm_tn(ablk, bblk, cblk, 0, q, p, q, k);
-                    }
+                    kernels::gemm_colmajor(ablk, pb, cblk, 0, q, p, q, k, &GemmEpilogue::None);
                 }
             });
         });

@@ -154,10 +154,11 @@ python3 scripts/check_bench.py BENCH_data_pipeline.json bench_baseline.json 0.25
     --require eval_frozen_din \
     --require-ratio eval_frozen_din eval_graph_din 1.25
 
-# The serving gate: micro-batched scoring at max_batch=64 must run the same
-# queue at least 2x faster than one-request-at-a-time (the ISSUE's
-# acceptance bar; measured ~6x on one core, the margin is batching
-# amortisation, not threads).
+# The serving gate: BENCH_serving.json must hold the solo, batched and
+# per-request latency cases, each median within 25% of bench_baseline.json,
+# and scoring the queue in micro-batches of up to 64 must take at most half
+# the time of scoring it one request at a time. That 2x speedup is not met on
+# every host: ROADMAP item 1 measures 1.2-1.3x on a 2-vCPU host.
 echo "==> bench gate: serving medians vs bench_baseline.json"
 python3 scripts/check_bench.py BENCH_serving.json bench_baseline.json 0.25 \
     --require queue_solo_mb1 \
